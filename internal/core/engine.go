@@ -117,6 +117,7 @@ type Engine struct {
 	retNames []string
 	retClass []int // class index for whole-class items, else -1
 	retEval  []expr.Evaluator
+	retWhole int // number of whole-class items, toMatch's event backing size
 
 	collector *stats.Collector
 	planStats *cost.Stats // statistics snapshot the current plan was chosen with
@@ -259,6 +260,7 @@ func (e *Engine) compileReturn() error {
 			e.retNames = append(e.retNames, name)
 			e.retClass = append(e.retClass, ar.Class)
 			e.retEval = append(e.retEval, nil)
+			e.retWhole++
 			continue
 		}
 		ev, err := expr.Compile(item.Expr)
@@ -551,22 +553,34 @@ func (e *Engine) drain() {
 	out.DropConsumedPrefix()
 }
 
+// toMatch materializes rec in three allocations: the Match, its Fields
+// (sized once) and one backing array shared by the single-event fields,
+// each of which holds a cap-limited one-element view of it, so a caller
+// appending to one field's Events gets a copy instead of overwriting its
+// neighbour.
 func (e *Engine) toMatch(rec *buffer.Record) *Match {
-	m := &Match{Start: rec.Start, End: rec.End}
+	m := &Match{Start: rec.Start, End: rec.End, Fields: make([]Field, len(e.retNames))}
 	e.renv.R = rec
+	var evs []*event.Event
 	for i, name := range e.retNames {
-		f := Field{Name: name}
-		if cls := e.retClass[i]; cls >= 0 {
-			s := rec.Slots[cls]
-			if s.E != nil {
-				f.Events = []*event.Event{s.E}
-			} else {
-				f.Events = s.Group
-			}
-		} else {
+		f := &m.Fields[i]
+		f.Name = name
+		cls := e.retClass[i]
+		if cls < 0 {
 			f.Value = e.retEval[i](&e.renv)
+			continue
 		}
-		m.Fields = append(m.Fields, f)
+		s := rec.Slots[cls]
+		if s.E == nil {
+			f.Events = s.Group
+			continue
+		}
+		if evs == nil {
+			evs = make([]*event.Event, 0, e.retWhole)
+		}
+		n := len(evs)
+		evs = append(evs, s.E)
+		f.Events = evs[n : n+1 : n+1]
 	}
 	e.renv.R = nil
 	return m

@@ -400,6 +400,62 @@ func TestEngineMatchFields(t *testing.T) {
 	}
 }
 
+// TestMatchLayoutIsolatesFields pins toMatch's three-allocation layout:
+// the single-event fields share one backing array through cap-limited
+// views, so appending to one field's Events copies instead of overwriting
+// the next field's event, and group and value fields are filled in place.
+func TestMatchLayoutIsolatesFields(t *testing.T) {
+	q := query.MustParse(`PATTERN A;B+;C;D
+		WHERE A.name='A' AND B.name='B' AND C.name='C' AND D.name='D'
+		WITHIN 50
+		RETURN A, C, D, count(B) AS n, B`)
+	var got []*Match
+	eng, err := NewEngine(q, Config{BatchSize: 1}, func(m *Match) { got = append(got, m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"A", "B", "B", "C", "D"} {
+		eng.Process(event.NewStock(0, int64(i+1), int64(i), name, float64(10*i), 1))
+	}
+	eng.Flush()
+	if len(got) != 1 {
+		t.Fatalf("matches = %d, want 1", len(got))
+	}
+	m := got[0]
+	if len(m.Fields) != 5 {
+		t.Fatalf("fields = %d, want 5", len(m.Fields))
+	}
+	for i, want := range []string{"A", "C", "D"} {
+		f := m.Fields[i]
+		if f.Name != want || len(f.Events) != 1 || cap(f.Events) != 1 || f.Events[0].Get("name").S != want {
+			t.Fatalf("field %d = %+v (cap %d), want one %s event with cap 1", i, f, cap(f.Events), want)
+		}
+	}
+	if f := m.Fields[3]; f.Name != "n" || !f.Value.Equal(event.Float(2)) || f.Events != nil {
+		t.Errorf("count field = %+v, want n=2", f)
+	}
+	if f := m.Fields[4]; f.Name != "B" || len(f.Events) != 2 {
+		t.Errorf("group field = %+v, want two B events", f)
+	}
+
+	c, d := m.Fields[1].Events[0], m.Fields[2].Events[0]
+	grown := append(m.Fields[0].Events, d)
+	grown[0] = d
+	if m.Fields[1].Events[0] != c || m.Fields[2].Events[0] != d || m.Fields[0].Events[0].Get("name").S != "A" {
+		t.Fatalf("appending to Fields[0].Events changed a neighbour: %+v", m.Fields)
+	}
+
+	// Materializing a match costs the Match, its Fields and one backing
+	// array for the single-event fields, whatever the field count.
+	rec := &buffer.Record{Slots: make([]buffer.Slot, 4), Start: 1, End: 5}
+	rec.Slots[0].E = m.Fields[0].Events[0]
+	rec.Slots[1].Group = m.Fields[4].Events
+	rec.Slots[2].E, rec.Slots[3].E = c, d
+	if allocs := testing.AllocsPerRun(100, func() { eng.toMatch(rec) }); allocs != 3 {
+		t.Errorf("toMatch allocates %.1f objects per match, want 3", allocs)
+	}
+}
+
 func TestEngineEmitsInEndTimeOrder(t *testing.T) {
 	q := query.MustParse(`PATTERN A;B WHERE A.name='A' AND B.name='B' WITHIN 50`)
 	var ends []int64

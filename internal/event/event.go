@@ -152,6 +152,40 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
+// Slot resolves one attribute name to its position in an event's value
+// vector. It caches the last *Schema it saw together with that schema's
+// position for the name, so a stream of same-schema events pays one pointer
+// comparison per lookup instead of a string-map hash; a schema change
+// re-resolves through Schema.Index. Get has exactly Event.Get semantics: an
+// attribute the schema lacks yields the null Value.
+//
+// A Slot is not safe for concurrent use, and needs no synchronisation
+// because each one is owned by a single goroutine: compiled evaluators and
+// key extractors live inside one engine, router or statistics collector,
+// which are per shard or per engine, and the runtime's partition-key slot
+// is only touched under its ingest lock.
+type Slot struct {
+	attr   string
+	schema *Schema
+	pos    int
+}
+
+// NewSlot returns an unresolved Slot for attribute attr.
+func NewSlot(attr string) Slot { return Slot{attr: attr, pos: -1} }
+
+// Get returns e's value for the slot's attribute, or null if e's schema
+// does not have it.
+func (s *Slot) Get(e *Event) Value {
+	if e.Schema != s.schema {
+		s.schema = e.Schema
+		s.pos = e.Schema.Index(s.attr)
+	}
+	if s.pos < 0 {
+		return Value{}
+	}
+	return e.Vals[s.pos]
+}
+
 // Event is a primitive event: one occurrence on an input stream. Events are
 // immutable once published to the engine; operators only hold pointers.
 type Event struct {

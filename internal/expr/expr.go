@@ -115,7 +115,10 @@ type Evaluator func(Env) event.Value
 type Predicate func(Env) bool
 
 // Compile turns a value expression into an Evaluator. Attribute references
-// must have been resolved by query.Analyze (Class >= 0).
+// must have been resolved by query.Analyze (Class >= 0). Each attribute
+// reference resolves its schema position once per schema through an
+// event.Slot, so the returned Evaluator (and every Predicate built on it)
+// must be evaluated by one goroutine only.
 func Compile(e query.Expr) (Evaluator, error) {
 	switch x := e.(type) {
 	case *query.NumLit:
@@ -138,13 +141,13 @@ func Compile(e query.Expr) (Evaluator, error) {
 				return event.Float(float64(ev.Ts))
 			}, nil
 		}
-		attr := x.Attr
+		slot := event.NewSlot(x.Attr)
 		return func(env Env) event.Value {
 			ev := env.Event(cls)
 			if ev == nil {
 				return event.Value{}
 			}
-			return ev.Get(attr)
+			return slot.Get(ev)
 		}, nil
 	case *query.Arith:
 		l, err := Compile(x.L)
@@ -192,13 +195,14 @@ func compileAgg(a *query.Agg) (Evaluator, error) {
 			return event.Float(float64(len(env.Group(cls))))
 		}, nil
 	}
-	attr := a.Arg.Attr
+	isTs := a.Arg.Attr == TsAttr
+	slot := event.NewSlot(a.Arg.Attr)
 	get := func(ev *event.Event) (float64, bool) {
 		var v event.Value
-		if attr == TsAttr {
+		if isTs {
 			v = event.Float(float64(ev.Ts))
 		} else {
-			v = ev.Get(attr)
+			v = slot.Get(ev)
 		}
 		if v.Kind != event.KindFloat {
 			return 0, false
@@ -309,10 +313,13 @@ func CompilePreds(cs []*query.Cmp) (Predicate, error) {
 }
 
 // CompileKey compiles an attribute reference into a key extractor over a
-// single event, for hash-index construction (§5.2.2).
+// single event, for hash-index construction (§5.2.2). Like every compiled
+// evaluator, the extractor caches its attribute's schema position and must
+// be used by one goroutine only (see event.Slot).
 func CompileKey(attr string) func(*event.Event) event.Value {
 	if attr == TsAttr {
 		return func(e *event.Event) event.Value { return event.Float(float64(e.Ts)) }
 	}
-	return func(e *event.Event) event.Value { return e.Get(attr) }
+	slot := event.NewSlot(attr)
+	return slot.Get
 }

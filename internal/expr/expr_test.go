@@ -281,3 +281,80 @@ func TestEnvOutOfRange(t *testing.T) {
 		t.Error("out-of-range class should be unbound in PairEnv")
 	}
 }
+
+// TestSlotInvalidationAcrossSchemas drives one compiled Evaluator, one
+// Predicate, one aggregate and one CompileKey extractor with events that
+// alternate between three schemas: the attribute at position 1, at
+// position 3, and absent. Every result must match Event.Get, so a cached
+// schema position is never applied to an event of another schema.
+func TestSlotInvalidationAcrossSchemas(t *testing.T) {
+	at1 := event.MustSchema("At1", "name", "price")
+	at3 := event.MustSchema("At3", "id", "name", "volume", "price")
+	none := event.MustSchema("None", "id", "name")
+	q := query.MustParse("PATTERN A;B WHERE A.price > 10 WITHIN 5")
+	cmp := q.Info.Preds[0].Cmp
+	pred, err := CompilePred(cmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := Compile(cmp.L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := Compile(&query.Agg{Fn: query.AggSum, Arg: &query.AttrRef{Alias: "A", Attr: "price", Class: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CompileKey("price")
+
+	mk := []func(ts int64, price float64) *event.Event{
+		func(ts int64, price float64) *event.Event {
+			return event.MustNew(at1, ts, event.Str("IBM"), event.Float(price))
+		},
+		func(ts int64, price float64) *event.Event {
+			return event.MustNew(at3, ts, event.Int(ts), event.Str("IBM"), event.Float(-price), event.Float(price))
+		},
+		func(ts int64, _ float64) *event.Event {
+			return event.MustNew(none, ts, event.Int(ts), event.Str("IBM"))
+		},
+	}
+	// Visit the schemas in an order where every schema follows every
+	// other one, so each transition re-resolves the cached position.
+	order := []int{0, 1, 2, 0, 2, 1, 1, 0, 0, 2, 2}
+	for i, s := range order {
+		price := float64(5 + 3*i) // crosses the threshold of 10
+		ev := mk[s](int64(i), price)
+		want := ev.Get("price")
+		if want.IsNull() != (s == 2) {
+			t.Fatalf("event %d: fixture Get(price) = %v", i, want)
+		}
+		env := EventEnv{Class: 0, E: ev}
+		if got := eval(env); got != want {
+			t.Errorf("event %d (schema %s): A.price = %v, want %v", i, ev.Schema.Name(), got, want)
+		}
+		wantPred := !want.IsNull() && want.F > 10
+		if got := pred(env); got != wantPred {
+			t.Errorf("event %d (schema %s): A.price > 10 = %v, want %v", i, ev.Schema.Name(), got, wantPred)
+		}
+		if got := key(ev); got != want {
+			t.Errorf("event %d (schema %s): key(price) = %v, want %v", i, ev.Schema.Name(), got, want)
+		}
+		if got := sum(env); got != want {
+			t.Errorf("event %d (schema %s): sum(A.price) = %v, want %v", i, ev.Schema.Name(), got, want)
+		}
+	}
+
+	// One group mixing all three schemas: the aggregate re-resolves per
+	// event inside a single evaluation, and the missing attribute makes the
+	// whole aggregate null.
+	group := []*event.Event{mk[0](1, 2), mk[1](2, 3), mk[0](3, 4)}
+	rec := &buffer.Record{Slots: make([]buffer.Slot, 2)}
+	rec.Slots[0] = buffer.Slot{Group: group}
+	if got := sum(RecordEnv{R: rec}); got != event.Float(9) {
+		t.Errorf("sum over mixed-schema group = %v, want 9", got)
+	}
+	rec.Slots[0].Group = append(group, mk[2](4, 0))
+	if got := sum(RecordEnv{R: rec}); !got.IsNull() {
+		t.Errorf("sum over group with a missing attribute = %v, want null", got)
+	}
+}

@@ -277,6 +277,9 @@ type Runtime struct {
 	nPend        int
 	lastTs       int64
 	lastSeq      uint64 // global arrival sequence stamp (see Ingest)
+	// partKey resolves Config.PartitionBy to a schema position for shard;
+	// guarded by mu like the pending batches.
+	partKey event.Slot
 
 	// sendMu serializes the worker-queue send phases. It is only ever
 	// acquired while holding mu (and released after mu is dropped), which
@@ -333,6 +336,7 @@ func New(cfg Config) *Runtime {
 		lastTs:   math.MinInt64 / 2,
 		shed:     make([]atomic.Uint64, cfg.Shards),
 		faults:   newFaultSink(),
+		partKey:  event.NewSlot(cfg.PartitionBy),
 	}
 	rt.pendingSpare = make([][]*event.Event, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
@@ -662,17 +666,18 @@ func (rt *Runtime) ingest(ctx context.Context, ev *event.Event) error {
 // shard routes an event by hashing its partition-key attribute. Durable
 // runtimes use a deterministic hash under a persisted seed so recovery
 // replays events to exactly the shards that saw them originally; the
-// default random per-process maphash seed would scatter them.
+// default random per-process maphash seed would scatter them. Callers
+// hold mu.
 func (rt *Runtime) shard(ev *event.Event) int {
 	if rt.cfg.Shards == 1 {
 		return 0
 	}
+	v := rt.partKey.Get(ev)
 	if rt.walHash {
-		return durableShard(ev.Get(rt.cfg.PartitionBy), rt.walSeed, rt.cfg.Shards)
+		return durableShard(v, rt.walSeed, rt.cfg.Shards)
 	}
 	var h maphash.Hash
 	h.SetSeed(rt.hashSeed)
-	v := ev.Get(rt.cfg.PartitionBy)
 	switch v.Kind {
 	case event.KindString:
 		h.WriteString(v.S)

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -358,5 +359,43 @@ func TestUnregisterStopsMatches(t *testing.T) {
 	}
 	if n == 0 {
 		t.Error("no matches before unregister; test is vacuous")
+	}
+}
+
+// TestCloneMatchKeepsFields checks that a dedupe alias's cloneMatch copy of
+// an engine-built match carries equal field contents in a private Fields
+// slice, and that appending to a field's Events on either side never
+// reaches the other side or a neighbouring field.
+func TestCloneMatchKeepsFields(t *testing.T) {
+	var got []*core.Match
+	eng, err := core.NewEngine(query.MustParse(riseQuery), core.Config{BatchSize: 1},
+		func(m *core.Match) { got = append(got, m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []float64{1, 2, 3} {
+		eng.Process(event.NewStock(0, int64(i+1), int64(i), "S00", p, 1))
+	}
+	eng.Flush()
+	if len(got) != 1 {
+		t.Fatalf("matches = %d, want 1", len(got))
+	}
+	m := got[0]
+	c := cloneMatch(m)
+	if c == m || &c.Fields[0] == &m.Fields[0] {
+		t.Fatal("cloneMatch shares the Match header or Fields slice")
+	}
+	if c.Start != m.Start || c.End != m.End || !reflect.DeepEqual(c.Fields, m.Fields) {
+		t.Fatalf("clone %+v differs from original %+v", c, m)
+	}
+	t2 := m.Fields[1].Events[0]
+	_ = append(c.Fields[0].Events, m.Fields[2].Events[0])
+	_ = append(m.Fields[0].Events, m.Fields[2].Events[0])
+	if m.Fields[1].Events[0] != t2 || c.Fields[1].Events[0] != t2 {
+		t.Fatal("appending to Fields[0].Events overwrote Fields[1]")
+	}
+	c.Fields[0].Name = "renamed"
+	if m.Fields[0].Name != "T1" {
+		t.Fatalf("renaming a clone field changed the original: %q", m.Fields[0].Name)
 	}
 }

@@ -691,6 +691,16 @@ type EngineStats struct {
 	Events       uint64
 }
 
+// Add accumulates o's counters into s (PeakMemBytes sums per-engine peaks,
+// an upper bound on a simultaneous peak).
+func (s *EngineStats) Add(o EngineStats) {
+	s.Matches += o.Matches
+	s.Rounds += o.Rounds
+	s.PlanSwitches += o.PlanSwitches
+	s.PeakMemBytes += o.PeakMemBytes
+	s.Events += o.Events
+}
+
 // Snapshot returns the engine counters. It is safe to call from another
 // goroutine while the engine is processing events.
 func (e *Engine) Snapshot() EngineStats {

@@ -52,7 +52,7 @@ type Doc struct {
 	// standalone engine).
 	Sharing *Sharing `json:"sharing,omitempty"`
 	// Router describes the predicate-index subscription (absent for a
-	// standalone engine or a naive-fanout runtime).
+	// standalone engine).
 	Router *Router `json:"router,omitempty"`
 	// Text is a human-readable rendering of the first plan variant.
 	Text string `json:"text"`
@@ -218,7 +218,8 @@ type Sharing struct {
 type Router struct {
 	// Mode is "indexed" (per-class admission masks), "fallback" (the
 	// subscription could not be compiled; every event is delivered with
-	// all classes admitted) or "naive" (router disabled).
+	// all classes admitted) or "naive" (deliver-all mode: every event is
+	// delivered and the engine runs its own filters).
 	Mode string `json:"mode"`
 	// Events is the number of events routed past the subscription since
 	// it was added, summed across shards.
@@ -373,6 +374,14 @@ type Totals struct {
 	Buffered int
 	// Evicted sums EAT evictions across every buffer in the tree.
 	Evicted uint64
+}
+
+// Add accumulates o's counters into t.
+func (t *Totals) Add(o Totals) {
+	t.In += o.In
+	t.Out += o.Out
+	t.Buffered += o.Buffered
+	t.Evicted += o.Evicted
 }
 
 // TreeTotals rolls up an operator tree's counters without materializing

@@ -24,7 +24,10 @@
 // Degradation: a class with no single-class predicates admits every event,
 // so its query is touched for every event (O(Q) again for such queries);
 // queries with more than 64 classes, or whose predicates fail to compile,
-// fall back to unconditional delivery with MaskAll. The router assumes the
+// fall back to unconditional delivery with MaskAll. DeliverAll makes every
+// subscription such a fallback: the naive deliver-to-all reference the
+// indexed mode is differentially tested against, with one delivery slice
+// per batch shared by every subscriber. The router assumes the
 // sequential, single-goroutine use the runtime's shard workers provide.
 //
 // The runtime also registers shared-subplan producers (core.Subplan) as

@@ -194,6 +194,10 @@ type Router struct {
 	// generation-1 router). Kept for differential testing: generation-2
 	// dispatch is semantics-preserving, so production routers leave it off.
 	noRange bool
+	// all is deliver-all mode (see DeliverAll): every subscription is a
+	// fallback, and Route hands each one the shared all batch.
+	all      bool
+	allBatch []Delivery
 
 	// reused scratch: subs admitted for the current event / batch, and the
 	// returned batch headers.
@@ -217,6 +221,14 @@ func New() *Router {
 // Must be called before the first Add; exists for differential testing.
 func (r *Router) DisableRangeDispatch() { r.noRange = true }
 
+// DeliverAll switches the router to deliver-to-all mode: every
+// subscription becomes a fallback that receives every event with MaskAll,
+// so the receiving engine evaluates its own leaf filters (the naive
+// fan-out the indexed router is differentially tested against). Route
+// then builds one MaskAll batch per call and returns it to every
+// subscriber, in registration order. Must be called before the first Add.
+func (r *Router) DeliverAll() { r.all = true }
+
 // Add registers a query's admission predicates under id. The payload rides
 // along in SubBatch for the caller's dispatch (e.g. the engine). Existing
 // schema tables are updated incrementally; the subscription takes effect
@@ -232,7 +244,7 @@ func (r *Router) Add(id int64, info *query.Info, payload any) {
 			s.nclasses = ci.Idx + 1
 		}
 	}
-	if s.nclasses > 64 {
+	if r.all || s.nclasses > 64 {
 		s.fallback = true
 	} else if classes, always, ok := r.compileClasses(info); ok {
 		s.classes, s.alwaysMask = classes, always
@@ -518,7 +530,11 @@ func (t *schemaTable) rangeGroup(idx int) *rangeGroup {
 // subscriber that admits at least one of them (registration-stable order
 // of first admission). All returned slices are router-owned scratch,
 // reused by the next Route call; steady-state routing allocates nothing.
+// In deliver-all mode every returned mini-batch shares one slice.
 func (r *Router) Route(events []*event.Event) []SubBatch {
+	if r.all {
+		return r.routeAll(events)
+	}
 	// Scratch is always cleared before truncation, so backing-array tails
 	// never retain stale pointers: without this, a query whose batch once
 	// grew large would pin long-evicted events (and, via Payload, even
@@ -576,6 +592,27 @@ func (r *Router) Route(events []*event.Event) []SubBatch {
 	for _, s := range r.active {
 		r.out = append(r.out, SubBatch{ID: s.id, Payload: s.payload, Events: s.batch})
 	}
+	return r.out
+}
+
+// routeAll is Route in deliver-all mode: one MaskAll delivery per event,
+// shared by every subscriber.
+func (r *Router) routeAll(events []*event.Event) []SubBatch {
+	clear(r.allBatch)
+	r.allBatch = r.allBatch[:0]
+	clear(r.out)
+	r.out = r.out[:0]
+	if len(events) == 0 {
+		return r.out
+	}
+	for _, ev := range events {
+		r.allBatch = append(r.allBatch, Delivery{Ev: ev, Mask: MaskAll})
+	}
+	for _, s := range r.subs {
+		r.out = append(r.out, SubBatch{ID: s.id, Payload: s.payload, Events: r.allBatch})
+	}
+	r.stats.Events += uint64(len(events))
+	r.stats.Deliveries += uint64(len(events)) * uint64(len(r.subs))
 	return r.out
 }
 
@@ -715,8 +752,8 @@ type ClassAdmission struct {
 
 // SubInfo is the EXPLAIN view of one subscription.
 type SubInfo struct {
-	// Fallback reports unproven MaskAll delivery (>64 classes or
-	// predicate compilation failed); Classes is nil then.
+	// Fallback reports unproven MaskAll delivery (>64 classes, predicate
+	// compilation failed, or deliver-all mode); Classes is nil then.
 	Fallback bool
 	// Events counts events routed since this subscription was added: the
 	// denominator for per-class admission rates.

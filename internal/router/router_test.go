@@ -168,27 +168,91 @@ func TestRemoveReleasesAtomsAndStopsDelivery(t *testing.T) {
 
 // TestRouteSteadyStateZeroAllocs pins the routing hot path: once schema
 // tables are compiled and scratch batches warmed, routing allocates
-// nothing per event.
+// nothing per event — in indexed mode and in deliver-all mode, whose
+// subscribers share one delivery slice.
 func TestRouteSteadyStateZeroAllocs(t *testing.T) {
+	for _, all := range []bool{false, true} {
+		t.Run(fmt.Sprintf("deliverAll=%v", all), func(t *testing.T) {
+			r := New()
+			if all {
+				r.DeliverAll()
+			}
+			for i := 0; i < 64; i++ {
+				r.Add(int64(i), info(t, fmt.Sprintf(
+					`PATTERN A; B WHERE A.name = 'S%02d' AND A.price > 90 AND B.name = 'S%02d' WITHIN 10`, i%16, i%16)), nil)
+			}
+			// Pure threshold-family queries exercise the sorted-threshold stab path.
+			for i := 0; i < 64; i++ {
+				r.Add(int64(64+i), info(t, fmt.Sprintf(
+					`PATTERN A; B WHERE A.price > %d AND A.price <= %d WITHIN 10`, i, i+10)), nil)
+			}
+			events := make([]*event.Event, 256)
+			for i := range events {
+				events[i] = event.NewStock(uint64(i+1), int64(i), 1, fmt.Sprintf("S%02d", i%16), float64(i%100), 1)
+			}
+			for i := 0; i < 4; i++ { // warm scratch
+				r.Route(events)
+			}
+			avg := testing.AllocsPerRun(100, func() { r.Route(events) })
+			if avg != 0 {
+				t.Errorf("Route allocates %.2f per batch in steady state, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestDeliverAll pins the deliver-to-all mode the runtime's NaiveFanout
+// uses: every subscriber — including one whose predicates reject every
+// event — receives every event with MaskAll, in input order, subscribers
+// in registration order, before and after a Remove.
+func TestDeliverAll(t *testing.T) {
 	r := New()
-	for i := 0; i < 64; i++ {
-		r.Add(int64(i), info(t, fmt.Sprintf(
-			`PATTERN A; B WHERE A.name = 'S%02d' AND A.price > 90 AND B.name = 'S%02d' WITHIN 10`, i%16, i%16)), nil)
+	r.DeliverAll()
+	srcs := []string{
+		`PATTERN A; B WHERE A.name = 'IBM' AND B.name = 'IBM' WITHIN 10`,
+		`PATTERN A; B WHERE A.price > 1000 AND B.price > 1000 WITHIN 10`, // rejects all
+		`PATTERN A; B WHERE A.price * A.volume > 5 WITHIN 10`,
 	}
-	// Pure threshold-family queries exercise the sorted-threshold stab path.
-	for i := 0; i < 64; i++ {
-		r.Add(int64(64+i), info(t, fmt.Sprintf(
-			`PATTERN A; B WHERE A.price > %d AND A.price <= %d WITHIN 10`, i, i+10)), nil)
+	for i, src := range srcs {
+		r.Add(int64(10-i), info(t, src), i)
 	}
-	events := make([]*event.Event, 256)
-	for i := range events {
-		events[i] = event.NewStock(uint64(i+1), int64(i), 1, fmt.Sprintf("S%02d", i%16), float64(i%100), 1)
+	events := []*event.Event{
+		event.NewStock(1, 1, 1, "IBM", 50, 1),
+		event.NewStock(2, 2, 1, "Sun", 60, 1),
+		event.NewStock(3, 3, 1, "IBM", 70, 1),
 	}
-	for i := 0; i < 4; i++ { // warm scratch
-		r.Route(events)
+	check := func(wantIDs []int64) {
+		t.Helper()
+		got := r.Route(events)
+		if len(got) != len(wantIDs) {
+			t.Fatalf("got %d sub-batches, want %d", len(got), len(wantIDs))
+		}
+		for i, sb := range got {
+			if sb.ID != wantIDs[i] || sb.Payload != int(10-sb.ID) {
+				t.Errorf("sub-batch %d = id %d payload %v, want id %d", i, sb.ID, sb.Payload, wantIDs[i])
+			}
+			if len(sb.Events) != len(events) {
+				t.Fatalf("sub %d got %d deliveries, want %d", sb.ID, len(sb.Events), len(events))
+			}
+			for j, d := range sb.Events {
+				if d.Ev != events[j] || d.Mask != MaskAll {
+					t.Errorf("sub %d delivery %d = (%v, %#x), want event %d with MaskAll", sb.ID, j, d.Ev, d.Mask, j)
+				}
+			}
+		}
 	}
-	avg := testing.AllocsPerRun(100, func() { r.Route(events) })
-	if avg != 0 {
-		t.Errorf("Route allocates %.2f per batch in steady state, want 0", avg)
+	check([]int64{10, 9, 8})
+	r.Remove(9)
+	check([]int64{10, 8})
+	if got := r.Route(nil); len(got) != 0 {
+		t.Errorf("empty batch yielded %d sub-batches, want 0", len(got))
+	}
+
+	si, ok := r.Describe(8)
+	if !ok || !si.Fallback || si.Classes != nil || si.Events != 6 {
+		t.Errorf("Describe = %+v, %v; want fallback with 6 events", si, ok)
+	}
+	if st := r.Stats(); st.Events != 6 || st.Deliveries != 3*3+3*2 || st.ResidualEvals != 0 {
+		t.Errorf("stats = %+v, want 6 events, 15 deliveries, no residual evals", st)
 	}
 }

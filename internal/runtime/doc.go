@@ -38,4 +38,15 @@
 // (query.SharablePrefix) consume one per-shard materialization of the
 // prefix joins (core.Subplan) through refcounted shared readers instead of
 // each buffering and assembling it. See docs/ARCHITECTURE.md.
+//
+// # Shard workers
+//
+// A shard worker runs one kind of execution unit over one delivery path.
+// A unit is either an engine group or a shared-subplan producer; both
+// are fed their router deliveries, run one round per batch boundary, and
+// are recovered, quarantined and dropped by the same functions. Every
+// batch is classified by the shard's router; under Config.NaiveFanout the
+// router runs in deliver-all mode (router.Router.DeliverAll), handing
+// every unit one shared slice of MaskAll deliveries, and engines evaluate
+// their own leaf filters.
 package runtime

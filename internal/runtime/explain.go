@@ -61,37 +61,30 @@ type shardSnap struct {
 
 // snapshot serves one snapOp on the worker goroutine.
 func (w *worker) snapshot(op *snapOp) {
-	s := shardSnap{shard: w.id}
-	if w.router != nil {
-		s.routerStats = w.router.Stats()
-		s.rangeEntries = w.router.RangeTableSize()
-	}
-	for _, g := range w.groups {
-		s.groups = append(s.groups, groupTotals{gid: g.gid, totals: g.eng.OperatorTotals()})
-	}
-	for _, pe := range w.prods {
+	s := shardSnap{shard: w.id, routerStats: w.router.Stats(), rangeEntries: w.router.RangeTableSize()}
+	for _, u := range w.units {
+		if u.prod == nil {
+			s.groups = append(s.groups, groupTotals{gid: u.id, totals: u.eng.OperatorTotals()})
+			continue
+		}
 		s.prods = append(s.prods, prodTotals{
-			id:      pe.id,
-			totals:  explain.TreeTotals(pe.prod.Plan().Root),
-			readers: pe.prod.Readers(),
-			events:  pe.prod.Events(),
+			id:      u.id,
+			totals:  explain.TreeTotals(u.prod.Plan().Root),
+			readers: u.prod.Readers(),
+			events:  u.prod.Events(),
 		})
 	}
 	if op.gid != 0 {
-		if g, ok := w.byGID[op.gid]; ok {
+		if g, ok := w.byID[op.gid]; ok {
 			s.found = true
 			s.info = g.eng.BuildExplain()
-			if w.router != nil {
-				if si, ok := w.router.Describe(op.gid); ok {
-					s.sub = &si
-				}
+			if si, ok := w.router.Describe(op.gid); ok {
+				s.sub = &si
 			}
 		}
-		if op.prodID != 0 {
-			if pe, ok := w.byProdID[op.prodID]; ok {
-				s.prodTree = explain.Tree(pe.prod.Plan().Root)
-				s.prodReaders = pe.prod.Readers()
-			}
+		if p, ok := w.byID[op.prodID]; ok {
+			s.prodTree = explain.Tree(p.prod.Plan().Root)
+			s.prodReaders = p.prod.Readers()
 		}
 	}
 	op.reply <- s
@@ -334,7 +327,9 @@ type RouterMetrics struct {
 type Metrics struct {
 	// Stats is the runtime aggregate (same as Runtime.Stats).
 	Stats Stats
-	// Router sums router counters across shards (zero under NaiveFanout).
+	// Router sums router counters across shards. Under NaiveFanout the
+	// routers run in deliver-all mode and count every (subscriber, event)
+	// pair as a delivery.
 	Router RouterMetrics
 	// Queries holds one row per live query, sorted by ID.
 	Queries []QueryMetrics
@@ -379,10 +374,7 @@ func (rt *Runtime) Metrics() Metrics {
 		m.Router.RangeTableEntries += uint64(s.rangeEntries)
 		for _, gt := range s.groups {
 			t := byGID[gt.gid]
-			t.In += gt.totals.In
-			t.Out += gt.totals.Out
-			t.Buffered += gt.totals.Buffered
-			t.Evicted += gt.totals.Evicted
+			t.Add(gt.totals)
 			byGID[gt.gid] = t
 		}
 		for _, pt := range s.prods {
@@ -392,10 +384,7 @@ func (rt *Runtime) Metrics() Metrics {
 				prods[pt.id] = pm
 			}
 			pm.Events += pt.events
-			pm.Operators.In += pt.totals.In
-			pm.Operators.Out += pt.totals.Out
-			pm.Operators.Buffered += pt.totals.Buffered
-			pm.Operators.Evicted += pt.totals.Evicted
+			pm.Operators.Add(pt.totals)
 			if pt.readers > pm.Readers {
 				pm.Readers = pt.readers
 			}
@@ -404,12 +393,7 @@ func (rt *Runtime) Metrics() Metrics {
 	for _, lq := range qs {
 		qm := QueryMetrics{ID: lq.id, GroupID: lq.gid, Members: lq.members, Operators: byGID[lq.gid]}
 		for _, e := range lq.engines {
-			s := e.Snapshot()
-			qm.Engine.Events += s.Events
-			qm.Engine.Matches += s.Matches
-			qm.Engine.Rounds += s.Rounds
-			qm.Engine.PlanSwitches += s.PlanSwitches
-			qm.Engine.PeakMemBytes += s.PeakMemBytes
+			qm.Engine.Add(e.Snapshot())
 		}
 		m.Queries = append(m.Queries, qm)
 	}

@@ -79,9 +79,9 @@ type Config struct {
 	// worker falls behind, Ingest blocks once its queue is full
 	// (backpressure). Default 8.
 	QueueLen int
-	// NaiveFanout disables the predicate-indexed router: every event is
-	// delivered to every registered engine, the pre-PR3 behavior. Kept for
-	// differential testing (and as an escape hatch); the router is
+	// NaiveFanout puts every shard router in deliver-all mode: every event
+	// is delivered to every registered engine, which evaluates its own leaf
+	// filters. Kept for differential testing; the indexed router is
 	// semantics-preserving, so production runs should leave this false.
 	NaiveFanout bool
 	// NoRangeDispatch reverts the router to generation-1 behavior: range
@@ -165,9 +165,10 @@ type Stats struct {
 	EventsIngested   uint64
 	MatchesDelivered uint64
 	// EngineDeliveries counts (engine, event) deliveries across all
-	// shards. The naive path delivers every event to every live engine;
-	// the router only to engines with at least one admitting class, so
-	// EngineDeliveries / EventsIngested is the effective fan-out.
+	// shards. Deliver-all mode (NaiveFanout) delivers every event to every
+	// live engine; the indexed router only to engines with at least one
+	// admitting class, so EngineDeliveries / EventsIngested is the
+	// effective fan-out.
 	EngineDeliveries uint64
 	Engine           core.EngineStats
 	// WALEnabled reports whether the write-ahead log is configured AND
@@ -340,14 +341,14 @@ func New(cfg Config) *Runtime {
 	}
 	rt.pendingSpare = make([][]*event.Event, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		w := &worker{id: i, in: make(chan shardMsg, cfg.QueueLen), delivered: &rt.engineDeliv,
-			byGID: map[int64]*engineGroup{}, byProdID: map[int64]*prodEntry{},
+		w := &worker{id: i, in: make(chan shardMsg, cfg.QueueLen), router: router.New(),
+			delivered: &rt.engineDeliv, byID: map[int64]*unit{},
 			faults: rt.faults, inj: cfg.Injector, crashing: &rt.crashing}
-		if !cfg.NaiveFanout {
-			w.router = router.New()
-			if cfg.NoRangeDispatch {
-				w.router.DisableRangeDispatch()
-			}
+		if cfg.NaiveFanout {
+			w.router.DeliverAll()
+		}
+		if cfg.NoRangeDispatch {
+			w.router.DisableRangeDispatch()
 		}
 		rt.workers = append(rt.workers, w)
 		go w.run(rt.mergeCh)
@@ -589,12 +590,7 @@ func (rt *Runtime) Unregister(id QueryID) error {
 // hold mu.
 func (rt *Runtime) dropGroupLocked(key groupKey, gs *groupState) {
 	for _, e := range gs.engines {
-		s := e.Snapshot()
-		rt.retired.Matches += s.Matches
-		rt.retired.Rounds += s.Rounds
-		rt.retired.PlanSwitches += s.PlanSwitches
-		rt.retired.PeakMemBytes += s.PeakMemBytes
-		rt.retired.Events += s.Events
+		rt.retired.Add(e.Snapshot())
 	}
 	delete(rt.groups, key)
 	if gs.prefixKey == "" {
@@ -937,12 +933,7 @@ func (rt *Runtime) Stats() Stats {
 		st.EventsShed += n
 	}
 	for _, e := range engines {
-		s := e.Snapshot()
-		st.Engine.Matches += s.Matches
-		st.Engine.Rounds += s.Rounds
-		st.Engine.PlanSwitches += s.PlanSwitches
-		st.Engine.PeakMemBytes += s.PeakMemBytes
-		st.Engine.Events += s.Events
+		st.Engine.Add(e.Snapshot())
 	}
 	if rt.wal != nil {
 		st.WALEnabled = rt.walActive.Load()

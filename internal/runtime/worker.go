@@ -111,21 +111,29 @@ type mergeMsg struct {
 	final     bool
 }
 
-// engineGroup is one physical engine on this shard together with the
-// queries aliased onto it. Without whole-query dedupe every group has
-// exactly one slot; with it, textually identical queries share the group
-// and each gets the group's matches fanned out at gather time.
-type engineGroup struct {
-	gid    int64
-	eng    *core.Engine
+// unit is one execution unit on this shard: an engine group (eng set) or a
+// shared-subplan producer (prod set) — exactly one of the two. Both are fed
+// their router deliveries, run one round at every batch boundary and are
+// contained, quarantined and dropped by the same worker functions.
+//
+// An engine group is one physical engine together with the queries aliased
+// onto it: without whole-query dedupe every group has exactly one slot;
+// with it, textually identical queries share the group and each gets the
+// group's matches fanned out at gather time. A shared-prefix consumer group
+// reads its producer (src) through reader. A producer's members are the
+// consumer groups whose horizons bound its eviction.
+type unit struct {
+	id   int64 // group id (> 0) or producer id (< 0)
+	eng  *core.Engine
+	prod *core.Subplan
+
 	sink   *matchSink
 	slots  int
-	reader *buffer.ShareReader // shared-prefix consumer's producer cursor
-	prodID int64               // producer the reader belongs to (0 = none)
-
+	src    *unit               // producer this consumer reads (nil = none)
+	reader *buffer.ShareReader // cursor into src's shared output
 	// adaptive caches eng.IsAdaptive(); batchDeliv counts this group's
-	// deliveries within the current routed batch, so the gap to the batch
-	// size (= router-rejected events) can be credited to the engine's
+	// deliveries within the current batch, so the gap to the batch size
+	// (= router-rejected events) can be credited to the engine's
 	// statistics collector after the batch.
 	adaptive   bool
 	batchDeliv uint64
@@ -137,9 +145,12 @@ type engineGroup struct {
 	taken   []*core.Match
 	emitted bool
 
-	// quarantined marks a group dropped by a contained panic: every
-	// dispatch path skips it until the batch-boundary sweep removes its
-	// state structurally.
+	members []*unit // producer only
+
+	// quarantined marks a unit dropped by a contained panic: every dispatch
+	// path skips it until the batch-boundary sweep removes its state
+	// structurally. A quarantined producer takes its members with it (their
+	// shared prefix state is unrecoverable).
 	quarantined bool
 }
 
@@ -149,29 +160,16 @@ type engineGroup struct {
 type querySlot struct {
 	id   QueryID
 	emit func(*core.Match)
-	g    *engineGroup
-}
-
-// prodEntry is one live shared-subplan producer on this shard, with the
-// consumer groups whose horizons bound its eviction.
-type prodEntry struct {
-	id      int64
-	prod    *core.Subplan
-	members []*engineGroup
-
-	// quarantined marks a producer dropped by a contained panic; its
-	// consumer groups are quarantined with it (their shared prefix state
-	// is unrecoverable).
-	quarantined bool
+	g    *unit
 }
 
 // worker owns one stream partition: a private physical engine per engine
 // group, fed in shard-local order, synced at every batch boundary, plus
-// the shard's shared-subplan producers. With a router attached (the
-// default), each event batch is classified once; producers are fed and
-// assembled before any consuming engine touches the batch, so consumers
-// always observe a producer at or ahead of their own stream position.
-// router == nil is the naive deliver-to-all path (Config.NaiveFanout).
+// the shard's shared-subplan producers. Each event batch is classified
+// once by the shard's router (in deliver-all mode under Config.NaiveFanout);
+// producers are fed and assembled before any consuming engine touches the
+// batch, so consumers always observe a producer at or ahead of their own
+// stream position.
 type worker struct {
 	id        int
 	in        chan shardMsg
@@ -185,89 +183,59 @@ type worker struct {
 	// the watermark. Test hook for the crash-recovery differential suite.
 	crashing *atomic.Bool
 
-	slots    []*querySlot
-	groups   []*engineGroup // creation order (deterministic naive fan-out)
-	byGID    map[int64]*engineGroup
-	prods    []*prodEntry
-	byProdID map[int64]*prodEntry
-	round    uint64
+	slots []*querySlot
+	units []*unit // creation order
+	byID  map[int64]*unit
+	round uint64
 
 	// shardTime is the largest timestamp of an event THIS shard received —
-	// the clock a naive (deliver-to-all) engine on this shard would have.
-	// Routed engines are advanced to it, not to the global stream time, so
-	// time-driven confirmations (trailing negation/closure) fire in exactly
-	// the same batch as they would without the router, keeping delivery
-	// order byte-identical between the two paths.
+	// the clock a deliver-to-all engine on this shard would have. Engines
+	// are advanced to it, not to the global stream time, so time-driven
+	// confirmations (trailing negation/closure) fire in exactly the same
+	// batch whether or not the router withheld events, keeping delivery
+	// order byte-identical between routed and deliver-all runs.
 	shardTime int64
-	// quarDirty flags that a group or producer was quarantined since the
-	// last structural sweep.
+	// quarDirty flags that a unit was quarantined since the last
+	// structural sweep.
 	quarDirty bool
 }
 
-// syncProds runs one producer assembly round ahead of the consumers:
-// horizon is each producer's consumers' minimum MatchHorizon BEFORE the
-// batch, batchMinTs the batch's first (smallest) timestamp; together they
-// lower-bound every EAT a consumer round may use while processing the
-// batch (see core.Subplan.Assemble).
-func (w *worker) syncProds(batchMinTs int64) {
-	for _, pe := range w.prods {
-		if pe.quarantined {
-			continue
-		}
-		w.assembleProd(pe, batchMinTs, false)
-	}
-}
-
-// flushProds final-assembles every producer so consumer flushes observe
-// all remaining partial matches.
-func (w *worker) flushProds() {
-	for _, pe := range w.prods {
-		if pe.quarantined {
-			continue
-		}
-		w.assembleProd(pe, 0, true)
-	}
-}
-
-// recoverGroup is the deferred recovery arm of every engine-group
-// dispatch: a panic inside the group's engine (or an injected fault)
-// quarantines the group instead of killing the worker — and with it every
-// other query on the shard.
-func (w *worker) recoverGroup(g *engineGroup, site faultinject.Site) {
+// recoverUnit is the deferred recovery arm of every unit dispatch: a panic
+// inside the unit (or an injected fault) quarantines it instead of killing
+// the worker — and with it every other query on the shard.
+func (w *worker) recoverUnit(u *unit, site faultinject.Site) {
 	if r := recover(); r != nil {
-		w.quarantineGroup(g, string(site), r, debug.Stack())
+		w.quarantine(u, string(site), r, debug.Stack())
 	}
 }
 
-// recoverProd is the producer-side recovery arm: a faulted shared-prefix
-// producer quarantines every consumer group attached to it (their shared
-// prefix state is unrecoverable).
-func (w *worker) recoverProd(pe *prodEntry, site faultinject.Site) {
-	if r := recover(); r != nil {
-		w.quarantineProd(pe, string(site), r, debug.Stack())
-	}
-}
-
-// quarantineGroup marks a group failed after a contained panic: the flag
-// stops all further dispatch, one fault per member query is recorded, and
-// the batch-boundary sweep removes the group's state structurally. The
-// worker records into the fault sink only — it must never take the
-// runtime's registry lock (deadlock against a backpressured send phase);
-// the next registry API call reaps the sink.
-func (w *worker) quarantineGroup(g *engineGroup, site string, rec any, stack []byte) {
-	if g.quarantined {
+// quarantine marks a unit failed after a contained panic: the flag stops
+// all further dispatch, a producer's members are quarantined with it, one
+// fault per member query of every engine group is recorded, and the
+// batch-boundary sweep removes the state structurally. The worker records
+// into the fault sink only — it must never take the runtime's registry
+// lock (deadlock against a backpressured send phase); the next registry
+// API call reaps the sink.
+func (w *worker) quarantine(u *unit, site string, rec any, stack []byte) {
+	if u.quarantined {
 		return
 	}
-	g.quarantined = true
+	u.quarantined = true
 	w.quarDirty = true
+	for _, m := range u.members {
+		w.quarantine(m, site, rec, stack)
+	}
+	if u.eng == nil {
+		return
+	}
 	var ids []QueryID
 	for _, s := range w.slots {
-		if s.g == g {
+		if s.g == u {
 			ids = append(ids, s.id)
 		}
 	}
-	w.faults.report(g.gid, ids, QueryFault{
-		GroupID:  g.gid,
+	w.faults.report(u.id, ids, QueryFault{
+		GroupID:  u.id,
 		Shard:    w.id,
 		Site:     site,
 		Panic:    fmt.Sprint(rec),
@@ -276,167 +244,116 @@ func (w *worker) quarantineGroup(g *engineGroup, site string, rec any, stack []b
 	})
 }
 
-func (w *worker) quarantineProd(pe *prodEntry, site string, rec any, stack []byte) {
-	if pe.quarantined {
+// feed delivers one routed sub-batch to a unit under panic containment.
+// MaskAll deliveries fall back to full filter evaluation inside
+// ProcessAdmitted.
+func (w *worker) feed(u *unit, evs []router.Delivery) {
+	site := faultinject.SiteEngineBatch
+	if u.prod != nil {
+		site = faultinject.SiteProducerBatch
+	}
+	defer w.recoverUnit(u, site)
+	w.inj.Hit(site, w.id, u.id)
+	if u.prod != nil {
+		for _, d := range evs {
+			u.prod.ProcessAdmitted(d.Ev, d.Mask)
+		}
 		return
 	}
-	pe.quarantined = true
-	w.quarDirty = true
-	for _, g := range pe.members {
-		w.quarantineGroup(g, site, rec, stack)
-	}
-}
-
-// feedRouted delivers one routed sub-batch to a group's engine under panic
-// containment. MaskAll deliveries fall back to full filter evaluation
-// inside ProcessAdmitted.
-func (w *worker) feedRouted(g *engineGroup, evs []router.Delivery) {
-	defer w.recoverGroup(g, faultinject.SiteEngineBatch)
-	w.inj.Hit(faultinject.SiteEngineBatch, w.id, g.gid)
 	for _, d := range evs {
-		g.eng.ProcessAdmitted(d.Ev, d.Mask)
+		u.eng.ProcessAdmitted(d.Ev, d.Mask)
 	}
 }
 
-// feedNaive delivers one whole shard batch to a group's engine (naive
-// deliver-to-all path) under panic containment. The ingest side
-// pre-stamped a globally monotone Seq, so every engine adopts it and
-// shares the event unmutated — no per-engine copy on the hot path.
-func (w *worker) feedNaive(g *engineGroup, evs []*event.Event) {
-	defer w.recoverGroup(g, faultinject.SiteEngineBatch)
-	w.inj.Hit(faultinject.SiteEngineBatch, w.id, g.gid)
-	for _, ev := range evs {
-		g.eng.Process(ev)
-	}
-}
-
-func (w *worker) feedProdRouted(pe *prodEntry, evs []router.Delivery) {
-	defer w.recoverProd(pe, faultinject.SiteProducerBatch)
-	w.inj.Hit(faultinject.SiteProducerBatch, w.id, pe.id)
-	for _, d := range evs {
-		pe.prod.ProcessAdmitted(d.Ev, d.Mask)
-	}
-}
-
-func (w *worker) feedProdNaive(pe *prodEntry, evs []*event.Event) {
-	defer w.recoverProd(pe, faultinject.SiteProducerBatch)
-	w.inj.Hit(faultinject.SiteProducerBatch, w.id, pe.id)
-	for _, ev := range evs {
-		pe.prod.Process(ev)
-	}
-}
-
-// assembleProd runs one producer assembly (or final flush) round under
-// panic containment. Quarantined members no longer bound the horizon:
-// their positions must not pin producer memory.
-func (w *worker) assembleProd(pe *prodEntry, batchMinTs int64, flush bool) {
-	defer w.recoverProd(pe, faultinject.SiteProducerBatch)
-	horizon := int64(math.MaxInt64)
-	for _, g := range pe.members {
-		if g.quarantined {
-			continue
+// sync runs one batch-boundary round (or final flush) under panic
+// containment. A producer assembles ahead of its consumers: its horizon is
+// the live members' minimum MatchHorizon BEFORE the batch, batchMinTs the
+// batch's first (smallest) timestamp; together they lower-bound every EAT
+// a consumer round may use while processing the batch (see
+// core.Subplan.Assemble). Quarantined members no longer bound the horizon:
+// their positions must not pin producer memory. An engine's SyncAt
+// advances its clock to the shard time and still runs a round when
+// pending confirmations lag behind it, even if the router delivered it
+// nothing.
+func (w *worker) sync(u *unit, batchMinTs int64, flush bool) {
+	if u.prod != nil {
+		defer w.recoverUnit(u, faultinject.SiteProducerBatch)
+		horizon := int64(math.MaxInt64)
+		for _, m := range u.members {
+			if m.quarantined {
+				continue
+			}
+			if h := m.eng.MatchHorizon(); h < horizon {
+				horizon = h
+			}
 		}
-		if h := g.eng.MatchHorizon(); h < horizon {
-			horizon = h
+		if flush {
+			u.prod.Flush(horizon)
+		} else {
+			u.prod.Assemble(horizon, batchMinTs)
 		}
+		return
 	}
+	defer w.recoverUnit(u, faultinject.SiteEngineSync)
+	w.inj.Hit(faultinject.SiteEngineSync, w.id, u.id)
 	if flush {
-		pe.prod.Flush(horizon)
+		u.eng.Flush()
 	} else {
-		pe.prod.Assemble(horizon, batchMinTs)
-	}
-}
-
-// syncGroup runs one batch-boundary round (or final flush) under panic
-// containment.
-func (w *worker) syncGroup(g *engineGroup, flush bool) {
-	defer w.recoverGroup(g, faultinject.SiteEngineSync)
-	w.inj.Hit(faultinject.SiteEngineSync, w.id, g.gid)
-	switch {
-	case flush:
-		g.eng.Flush()
-	case w.router != nil:
-		// Routed engines see only admitted events; SyncAt advances their
-		// clock to the shard time and still runs a round when pending
-		// confirmations lag behind it.
-		g.eng.SyncAt(w.shardTime)
-	default:
-		g.eng.Sync()
+		u.eng.SyncAt(w.shardTime)
 	}
 }
 
 // noteRejects credits router-level rejects to an adaptive engine's
 // statistics collector under panic containment.
-func (w *worker) noteRejects(g *engineGroup, n uint64) {
-	defer w.recoverGroup(g, faultinject.SiteEngineBatch)
-	g.eng.NoteRouterRejects(n, w.shardTime)
+func (w *worker) noteRejects(u *unit, n uint64) {
+	defer w.recoverUnit(u, faultinject.SiteEngineBatch)
+	u.eng.NoteRouterRejects(n, w.shardTime)
 }
 
-// sweepQuarantined structurally removes every group and producer flagged
-// since the last sweep. It runs at the batch boundary (after gather), so
-// no flagged state is removed mid-iteration. A quarantined consumer's
-// reader is detached from its producer here, so the shared buffer stops
-// clamping eviction on a dead reader's position — a failed consumer never
-// pins producer memory.
+// sweepQuarantined structurally removes every unit flagged since the last
+// sweep. It runs at the batch boundary (after gather), so no flagged state
+// is removed mid-iteration. A quarantined consumer's reader is detached
+// from its producer here, so the shared buffer stops clamping eviction on
+// a dead reader's position — a failed consumer never pins producer memory.
 func (w *worker) sweepQuarantined() {
 	if !w.quarDirty {
 		return
 	}
 	w.quarDirty = false
-	for i := 0; i < len(w.slots); {
-		if w.slots[i].g.quarantined {
-			w.slots = append(w.slots[:i], w.slots[i+1:]...)
-		} else {
-			i++
+	w.slots = slices.DeleteFunc(w.slots, func(s *querySlot) bool { return s.g.quarantined })
+	for _, u := range slices.Clone(w.units) {
+		if u.quarantined {
+			w.drop(u)
 		}
 	}
-	var qg []*engineGroup
-	for _, g := range w.groups {
-		if g.quarantined {
-			qg = append(qg, g)
-		}
-	}
-	for _, g := range qg {
-		w.dropGroup(g)
-	}
-	var qp []*prodEntry
-	for _, pe := range w.prods {
-		if pe.quarantined {
-			qp = append(qp, pe)
-		}
-	}
-	for _, pe := range qp {
-		w.dropProd(pe)
-	}
+}
+
+// add installs a new unit: creation-ordered list, id index and router
+// subscription (the router payload is always the *unit).
+func (w *worker) add(u *unit, info *query.Info) {
+	w.units = append(w.units, u)
+	w.byID[u.id] = u
+	w.router.Add(u.id, info, u)
 }
 
 // register applies one regOp at its exact queue position.
 func (w *worker) register(op *regOp) {
 	if op.prod != nil {
-		pe := &prodEntry{id: op.prodID, prod: op.prod}
-		w.prods = append(w.prods, pe)
-		w.byProdID[op.prodID] = pe
-		if w.router != nil {
-			w.router.Add(op.prodID, op.prodInfo, pe)
-		}
+		w.add(&unit{id: op.prodID, prod: op.prod}, op.prodInfo)
 	}
-	var g *engineGroup
+	var g *unit
 	if op.eng != nil {
-		g = &engineGroup{gid: op.gid, eng: op.eng, sink: op.sink, adaptive: op.eng.IsAdaptive()}
-		w.groups = append(w.groups, g)
-		w.byGID[op.gid] = g
+		g = &unit{id: op.gid, eng: op.eng, sink: op.sink, adaptive: op.eng.IsAdaptive()}
 		if op.prodID != 0 {
-			pe := w.byProdID[op.prodID]
-			g.reader = pe.prod.Attach(op.seq)
-			g.prodID = op.prodID
+			p := w.byID[op.prodID]
+			g.src = p
+			g.reader = p.prod.Attach(op.seq)
 			op.eng.ConnectSharedPrefix(g.reader)
-			pe.members = append(pe.members, g)
+			p.members = append(p.members, g)
 		}
-		if w.router != nil {
-			w.router.Add(op.gid, op.info, g)
-		}
+		w.add(g, op.info)
 	} else {
-		g = w.byGID[op.gid]
+		g = w.byID[op.gid]
 		if g == nil || g.quarantined {
 			// The host group was quarantined after the registry aliased
 			// this query onto it: the new query inherits the fault rather
@@ -458,81 +375,55 @@ func (w *worker) register(op *regOp) {
 // unregister removes a query slot; the group (and any producer it alone
 // kept alive) goes with it when the last slot leaves.
 func (w *worker) unregister(id QueryID) {
-	var g *engineGroup
-	for i, s := range w.slots {
-		if s.id == id {
-			g = s.g
-			w.slots = append(w.slots[:i], w.slots[i+1:]...)
-			break
-		}
-	}
-	if g == nil {
+	i := slices.IndexFunc(w.slots, func(s *querySlot) bool { return s.id == id })
+	if i < 0 {
 		return
 	}
+	g := w.slots[i].g
+	w.slots = slices.Delete(w.slots, i, i+1)
 	g.slots--
-	if g.slots > 0 {
-		return
+	if g.slots == 0 {
+		w.drop(g)
 	}
-	w.dropGroup(g)
 }
 
-// dropGroup removes a group's shard-local state: list/index entries, its
-// router subscription and — for shared-prefix consumers — its producer
-// reader, dropping the producer when the last reader detaches. Shared by
-// unregister and the quarantine sweep.
-func (w *worker) dropGroup(g *engineGroup) {
-	for i, x := range w.groups {
-		if x == g {
-			w.groups = append(w.groups[:i], w.groups[i+1:]...)
-			break
-		}
-	}
-	delete(w.byGID, g.gid)
-	if w.router != nil {
-		w.router.Remove(g.gid)
-	}
-	if g.reader == nil {
+// drop removes a unit's shard-local state: list/index entries and its
+// router subscription. A shared-prefix consumer also detaches its reader,
+// and the last reader's detach drops the producer. Idempotent (the
+// quarantine sweep may reach a producer the last consumer drop already
+// removed); shared by unregister and the sweep.
+func (w *worker) drop(u *unit) {
+	if w.byID[u.id] != u {
 		return
 	}
-	pe := w.byProdID[g.prodID]
-	if pe == nil {
+	delete(w.byID, u.id)
+	w.units = slices.DeleteFunc(w.units, func(x *unit) bool { return x == u })
+	w.router.Remove(u.id)
+	p := u.src
+	if p == nil {
 		return
 	}
-	for i, x := range pe.members {
-		if x == g {
-			pe.members = append(pe.members[:i], pe.members[i+1:]...)
-			break
-		}
-	}
+	p.members = slices.DeleteFunc(p.members, func(x *unit) bool { return x == u })
+	r := u.reader
+	u.src, u.reader = nil, nil
 	// A quarantined producer's internals are suspect: skip Detach and let
 	// the sweep drop the producer wholesale.
-	if pe.quarantined {
-		g.reader = nil
+	if p.quarantined {
 		return
 	}
-	pe.prod.Detach(g.reader)
-	g.reader = nil
-	if pe.prod.Readers() == 0 {
-		w.dropProd(pe)
+	p.prod.Detach(r)
+	if p.prod.Readers() == 0 {
+		w.drop(p)
 	}
 }
 
-// dropProd removes a producer's shard-local state; idempotent (the
-// quarantine sweep may reach a producer the last consumer drop already
-// removed).
-func (w *worker) dropProd(pe *prodEntry) {
-	if _, ok := w.byProdID[pe.id]; !ok {
-		return
-	}
-	for i, x := range w.prods {
-		if x == pe {
-			w.prods = append(w.prods[:i], w.prods[i+1:]...)
-			break
+// syncProds runs one assembly (or final flush) round on every live
+// producer, ahead of any consumer round.
+func (w *worker) syncProds(batchMinTs int64, flush bool) {
+	for _, u := range w.units {
+		if u.prod != nil && !u.quarantined {
+			w.sync(u, batchMinTs, flush)
 		}
-	}
-	delete(w.byProdID, pe.id)
-	if w.router != nil {
-		w.router.Remove(pe.id)
 	}
 }
 
@@ -551,7 +442,7 @@ func (w *worker) run(out chan<- mergeMsg) {
 			}
 			if g.round != w.round {
 				g.round = w.round
-				w.syncGroup(g, flush)
+				w.sync(g, 0, flush)
 				if g.quarantined {
 					// The round panicked: the sink's matches are suspect
 					// and die with the group at the sweep.
@@ -578,7 +469,7 @@ func (w *worker) run(out chan<- mergeMsg) {
 				batch = append(batch, pendingMatch{end: mm.End, shard: w.id, seq: emitSeq, m: mm, emit: s.emit, id: s.id})
 			}
 		}
-		for _, g := range w.groups {
+		for _, g := range w.units {
 			if g.round == w.round && g.taken != nil {
 				g.sink.recycle(g.taken)
 				g.taken = nil
@@ -623,78 +514,51 @@ func (w *worker) run(out chan<- mergeMsg) {
 			// Quarantine broadcast from the registry reap: the group
 			// faulted on another shard (or in its OnMatch callback); drop
 			// it here too, without recording a duplicate fault.
-			if g, ok := w.byGID[msg.quar]; ok && !g.quarantined {
+			if g, ok := w.byID[msg.quar]; ok && !g.quarantined {
 				g.quarantined = true
 				w.quarDirty = true
 			}
 		}
-		if w.router != nil {
-			// One classification pass decides, per event, which engines
-			// (and producers) receive it and with which admitted-class
-			// bits; groups whose classes all reject an event are never
-			// touched. Producers drain their deliveries and assemble
-			// first, so consumer rounds see an up-to-date shared prefix.
-			var nDeliv uint64
-			batches := w.router.Route(msg.events)
-			if len(w.prods) > 0 && len(msg.events) > 0 {
-				for _, sb := range batches {
-					pe, ok := sb.Payload.(*prodEntry)
-					if !ok || pe.quarantined {
-						continue
-					}
-					w.feedProdRouted(pe, sb.Events)
-				}
-				w.syncProds(msg.events[0].Ts)
-			}
+		// One classification pass decides, per event, which units receive
+		// it and with which admitted-class bits; groups whose classes all
+		// reject an event are never touched. Producers drain their
+		// deliveries and assemble first, so consumer rounds see an
+		// up-to-date shared prefix.
+		batches := w.router.Route(msg.events)
+		if len(msg.events) > 0 {
 			for _, sb := range batches {
-				g, ok := sb.Payload.(*engineGroup)
-				if !ok || g.quarantined {
-					continue
-				}
-				w.feedRouted(g, sb.Events)
-				g.batchDeliv = uint64(len(sb.Events))
-				nDeliv += uint64(len(sb.Events))
-			}
-			if nDeliv > 0 {
-				w.delivered.Add(nDeliv)
-			}
-			// Credit router-level rejects to adaptive engines: an event the
-			// router withheld from a group was rejected by every one of its
-			// class filters, so the statistics collector can fold it in as a
-			// bulk reject — rates and selectivities then describe the
-			// unconditioned stream, exactly what a deliver-to-all engine
-			// would have measured (fallback subscriptions receive every
-			// event, so their gap is zero by construction).
-			if n := uint64(len(msg.events)); n > 0 {
-				for _, g := range w.groups {
-					if g.adaptive && !g.quarantined && n > g.batchDeliv {
-						w.noteRejects(g, n-g.batchDeliv)
-					}
-					g.batchDeliv = 0
+				if p := sb.Payload.(*unit); p.prod != nil && !p.quarantined {
+					w.feed(p, sb.Events)
 				}
 			}
-		} else {
-			if len(w.prods) > 0 && len(msg.events) > 0 {
-				for _, pe := range w.prods {
-					if pe.quarantined {
-						continue
-					}
-					w.feedProdNaive(pe, msg.events)
-				}
-				w.syncProds(msg.events[0].Ts)
+			w.syncProds(msg.events[0].Ts, false)
+		}
+		var nDeliv uint64
+		for _, sb := range batches {
+			g := sb.Payload.(*unit)
+			if g.eng == nil || g.quarantined {
+				continue
 			}
-			if len(msg.events) > 0 {
-				var nDeliv uint64
-				for _, g := range w.groups {
-					if g.quarantined {
-						continue
-					}
-					w.feedNaive(g, msg.events)
-					nDeliv += uint64(len(msg.events))
+			w.feed(g, sb.Events)
+			g.batchDeliv = uint64(len(sb.Events))
+			nDeliv += uint64(len(sb.Events))
+		}
+		if nDeliv > 0 {
+			w.delivered.Add(nDeliv)
+		}
+		// Credit router-level rejects to adaptive engines: an event the
+		// router withheld from a group was rejected by every one of its
+		// class filters, so the statistics collector can fold it in as a
+		// bulk reject — rates and selectivities then describe the
+		// unconditioned stream, exactly what a deliver-to-all engine
+		// would have measured (fallback subscriptions receive every
+		// event, so their gap is zero by construction).
+		if n := uint64(len(msg.events)); n > 0 {
+			for _, g := range w.units {
+				if g.adaptive && !g.quarantined && n > g.batchDeliv {
+					w.noteRejects(g, n-g.batchDeliv)
 				}
-				if nDeliv > 0 {
-					w.delivered.Add(nDeliv)
-				}
+				g.batchDeliv = 0
 			}
 		}
 		// Batch release: the events now live in engine buffers; the slice
@@ -712,7 +576,10 @@ func (w *worker) run(out chan<- mergeMsg) {
 		// future event, whose timestamp is at least the flushed stream
 		// time (ingest order is globally non-decreasing).
 		wm := streamTime
-		for _, g := range w.groups {
+		for _, g := range w.units {
+			if g.eng == nil {
+				continue
+			}
 			if h := g.eng.MatchHorizon(); h < wm {
 				wm = h
 			}
@@ -733,7 +600,7 @@ func (w *worker) run(out chan<- mergeMsg) {
 	// it no shard match is outstanding, so the watermark jumps to +inf.
 	// Producers flush first so consumer flushes observe every partial
 	// match.
-	w.flushProds()
+	w.syncProds(0, true)
 	batch := gather(true)
 	out <- mergeMsg{shard: w.id, matches: batch, watermark: math.MaxInt64, final: true}
 }

@@ -51,25 +51,6 @@ func WithQueueDepth(n int) RuntimeOption {
 	return func(c *runtime.Config) { c.QueueLen = n }
 }
 
-// WithNaiveFanout disables the predicate-indexed multi-query router, so
-// every ingested event is delivered to every registered query's engine.
-// The router is semantics-preserving and strictly faster on parameterized
-// standing-query workloads; this knob exists for differential testing and
-// as an escape hatch.
-func WithNaiveFanout() RuntimeOption {
-	return func(c *runtime.Config) { c.NaiveFanout = true }
-}
-
-// WithRangeDispatch enables or disables the router's generation-2
-// sorted-threshold dispatch for range atoms (`attr > const` and friends;
-// default enabled). Disabled, range atoms fall back to interned residual
-// evaluation — one eval per distinct constant per event. Dispatch is
-// semantics-preserving, so WithRangeDispatch(false) exists for
-// differential testing and benchmarking the win.
-func WithRangeDispatch(enabled bool) RuntimeOption {
-	return func(c *runtime.Config) { c.NoRangeDispatch = !enabled }
-}
-
 // WithSubplanSharing enables or disables cross-query execution sharing
 // (default enabled): textually identical queries are deduplicated onto one
 // engine with match fan-out, and queries whose canonical class prefixes
